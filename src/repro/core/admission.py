@@ -18,6 +18,7 @@ controller (with the true parameters) and every measurement-based controller
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,6 +143,10 @@ class AdmissionCriterion:
     def __post_init__(self) -> None:
         if self.capacity <= 0.0:
             raise ParameterError("capacity must be positive")
+        # Held as Python floats so the per-decision kernel does no
+        # conversions (float() is exact, so no target changes).
+        object.__setattr__(self, "capacity", float(self.capacity))
+        object.__setattr__(self, "alpha", float(self.alpha))
 
     @classmethod
     def from_target(cls, capacity: float, p_target: float) -> "AdmissionCriterion":
@@ -154,8 +159,30 @@ class AdmissionCriterion:
         return q_function(self.alpha)
 
     def admissible_count(self, mu: float, sigma: float) -> float:
-        """Real-valued admissible flow count for estimates ``(mu, sigma)``."""
-        return admissible_flow_count_alpha(mu, sigma, self.capacity, self.alpha)
+        """Real-valued admissible flow count for estimates ``(mu, sigma)``.
+
+        The scalar form of :func:`admissible_flow_count_alpha` on Python
+        floats, the per-decision kernel of every controller: same
+        validation, same conjugate-form switch and the same operation
+        order, so the result is bit-identical to the array form.  Only
+        ``*`` is used (never ``**``), so an overflow gives ``inf`` rather
+        than raising.
+        """
+        mu = float(mu)
+        sigma = float(sigma)
+        if mu <= 0.0:
+            raise ParameterError("mu must be positive")
+        if sigma < 0.0:
+            raise ParameterError("sigma must be non-negative")
+        capacity = self.capacity  # validated positive at construction
+        s_alpha = sigma * self.alpha
+        four_c_mu = 4.0 * capacity * mu
+        root = math.sqrt(s_alpha * s_alpha + four_c_mu)
+        if s_alpha > 0.0 and four_c_mu < 1e-6 * s_alpha * s_alpha:
+            x = 2.0 * capacity / (root + s_alpha)
+        else:
+            x = (root - s_alpha) / (2.0 * mu)
+        return x * x
 
     def admits(self, mu: float, sigma: float, current_flows: int) -> bool:
         """Whether one more flow may be admitted given current occupancy.

@@ -82,8 +82,10 @@ class AdmissionController(ABC):
         numpy.ndarray
             ``target_count(BandwidthEstimate(mu_i, sigma_i, n_i), n_i)``
             element-wise.  The base implementation loops; controllers with
-            closed-form criteria override it with true array arithmetic
-            (the batched admission hot path relies on that).
+            closed-form criteria override it with true array arithmetic.
+            An analysis helper for sweeps over many estimates: the
+            decision path (``ManagedLink.admit_many``) evaluates the
+            scalar :meth:`target_count` instead.
         """
         mu, sigma, n_current = np.broadcast_arrays(
             np.asarray(mu, dtype=float),

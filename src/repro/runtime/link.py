@@ -37,8 +37,6 @@ import math
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core.controllers import (
     AdmissionController,
     CertaintyEquivalentController,
@@ -817,7 +815,9 @@ class ManagedLink:
                 self.conservative_controller if degraded else self.controller
             )
             target = controller.target_count(estimate, self._n)
-            admitted = self._n + 1 <= math.floor(target)
+            # ``n + 1 <= target`` is ``n + 1 <= floor(target)`` for integer
+            # ``n``, and admits (rather than raises) on an infinite target.
+            admitted = self._n + 1 <= target
             reason = "conservative-target" if degraded else "target"
 
         if admitted:
@@ -889,7 +889,7 @@ class ManagedLink:
         else:
             controller = bank.controller(class_id, conservative=degraded)
             target = controller.target_count(estimate, n_k)
-            admitted = n_k + 1 <= math.floor(target)
+            admitted = n_k + 1 <= target
             reason = "conservative-target" if degraded else "target"
 
         if admitted:
@@ -934,15 +934,15 @@ class ManagedLink:
         Semantically identical to ``k`` sequential :meth:`admit` calls at
         the same timestamp (same decisions, same counter increments, same
         final occupancy -- enforced by a differential test), but the burst
-        pays for one clock tick, one estimator read, one vectorized
-        controller evaluation (:meth:`AdmissionController.target_count_batch`)
-        and one metrics flush instead of ``k`` of each.
+        pays for one clock tick, one estimator read and one metrics flush
+        instead of ``k`` of each.
 
         Returns the per-request decisions in request order.  Because the
-        estimate is frozen for the burst and targets are non-increasing in
-        nothing the burst changes, the decision sequence is always an
-        accept-prefix followed by rejects, exactly as sequential calls at
-        one instant would produce.
+        estimate is frozen for the burst, the decision sequence is always
+        an accept-prefix followed by rejects, exactly as sequential calls
+        at one instant would produce: the burst evaluates one scalar
+        target per accepted request plus one for the first reject, whose
+        target every later reject shares.
 
         ``flow_class`` applies the same classed routing as :meth:`admit`
         to the whole burst (one class per burst; mixed-class arrivals are
@@ -1023,23 +1023,23 @@ class ManagedLink:
                 self.conservative_controller if degraded else self.controller
             )
             reason = "conservative-target" if degraded else "target"
-            # Occupancies along the all-accepted path; once one request is
-            # rejected the occupancy (and hence the target) freezes, so every
-            # later request is rejected at the same target.
-            occupancies = n + np.arange(remaining)
-            targets = controller.target_count_batch(
-                estimate.mu, estimate.sigma, occupancies
-            )
-            ok = occupancies + 1 <= np.floor(targets)
-            accepted = int(ok.argmin()) if not ok.all() else remaining
-            for i in range(accepted):
+            # Walk the accept-prefix with one scalar eqn-42 target per
+            # occupancy.  The first reject freezes the occupancy (and hence
+            # the target), so every later request is rejected at that same
+            # target.
+            accepted = 0
+            while accepted < remaining:
+                last_target = float(controller.target_count(estimate, n))
+                if not n + 1 <= last_target:
+                    break
                 n += 1
+                accepted += 1
                 decisions.append(
                     AdmissionDecision(
                         admitted=True,
                         link=name,
                         reason=reason,
-                        target=float(targets[i]),
+                        target=last_target,
                         n_flows=n,
                         degraded=degraded,
                         health=health.value,
@@ -1048,12 +1048,11 @@ class ManagedLink:
                     )
                 )
             if accepted < remaining:
-                reject_target = float(targets[accepted])
                 reject = AdmissionDecision(
                     admitted=False,
                     link=name,
                     reason=reason,
-                    target=reject_target,
+                    target=last_target,
                     n_flows=n,
                     degraded=degraded,
                     health=health.value,
@@ -1061,7 +1060,6 @@ class ManagedLink:
                     sigma_hat=sigma_hat,
                 )
                 decisions.extend([reject] * (remaining - accepted))
-            last_target = float(targets[min(accepted, remaining - 1)])
 
         admitted_total = n - self._n
         self._n = n
@@ -1156,21 +1154,20 @@ class ManagedLink:
         if remaining > 0:
             controller = bank.controller(class_id, conservative=degraded)
             reason = "conservative-target" if degraded else "target"
-            occupancies = n_k + np.arange(remaining)
-            targets = controller.target_count_batch(
-                estimate.mu, estimate.sigma, occupancies
-            )
-            ok = occupancies + 1 <= np.floor(targets)
-            accepted = int(ok.argmin()) if not ok.all() else remaining
-            for i in range(accepted):
+            accepted = 0
+            while accepted < remaining:
+                last_target = float(controller.target_count(estimate, n_k))
+                if not n_k + 1 <= last_target:
+                    break
                 n += 1
                 n_k += 1
+                accepted += 1
                 decisions.append(
                     AdmissionDecision(
                         admitted=True,
                         link=name,
                         reason=reason,
-                        target=float(targets[i]),
+                        target=last_target,
                         n_flows=n,
                         degraded=degraded,
                         health=health.value,
@@ -1183,7 +1180,7 @@ class ManagedLink:
                     admitted=False,
                     link=name,
                     reason=reason,
-                    target=float(targets[accepted]),
+                    target=last_target,
                     n_flows=n,
                     degraded=degraded,
                     health=health.value,
@@ -1191,7 +1188,6 @@ class ManagedLink:
                     sigma_hat=sigma_hat,
                 )
                 decisions.extend([reject] * (remaining - accepted))
-            last_target = float(targets[min(accepted, remaining - 1)])
 
         admitted_total = n - self._n
         self._n = n

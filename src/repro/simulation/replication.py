@@ -25,7 +25,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import stats
 
 from repro.errors import ParameterError
 from repro.simulation.runner import SimulationConfig, SimulationResult, simulate
@@ -45,6 +44,10 @@ def t_quantile_95(dof: float) -> float:
     """
     if dof <= 0:
         return math.inf
+    # Imported here: scipy.stats adds ~20 MiB to every process that
+    # imports the package, and only replication reports need it.
+    from scipy import stats
+
     return float(stats.t.ppf(0.975, dof))
 
 

@@ -18,6 +18,7 @@ space where everything stays well-scaled.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable
 
@@ -76,7 +77,36 @@ def adjusted_ce_alpha(
         bandwidth-fluctuation term of eqn (37) exceeds the target, meaning
         no certainty-equivalent parameter can deliver this QoS at this
         memory size.
+
+    Notes
+    -----
+    Solutions are memoised per process in a bounded cache (256 entries)
+    keyed on the float values of the numeric arguments and the formula,
+    so ``1`` and ``1.0`` share an entry and rebuilding gateways, twins
+    or class banks with the same parameters costs a lookup.  The first
+    call for each distinct parameter set still pays the full
+    root-find over the integrated formula.  Errors are never cached.
     """
+    return _solve_alpha_ce(
+        float(p_q),
+        float(memory),
+        float(correlation_time),
+        float(holding_time_scaled),
+        float(snr),
+        formula,
+    )
+
+
+@functools.lru_cache(maxsize=256)
+def _solve_alpha_ce(
+    p_q: float,
+    memory: float,
+    correlation_time: float,
+    holding_time_scaled: float,
+    snr: float,
+    formula: str,
+) -> float:
+    """The eqn-15 root-find behind :func:`adjusted_ce_alpha` (memoised)."""
     if not 0.0 < p_q < 0.5:
         raise ParameterError("p_q must lie in (0, 0.5)")
     try:

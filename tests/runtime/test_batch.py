@@ -126,6 +126,15 @@ class TestLinkDifferential:
         # The zero estimate blocks everything after the bootstrap flow.
         assert not any(d.admitted for d in decisions[1:])
 
+    def test_infinite_target_admits_like_sequential(self):
+        # A vanishing mean estimate overflows eqn (42) to an infinite
+        # target: both paths admit instead of raising.
+        sections = [make_section(n=6, mean=1e-310, var=0.0)]
+        decisions = assert_batch_matches_sequential(
+            lambda link: link.tick(0.0), k=3, now=0.1, sections=sections
+        )
+        assert all(d.admitted and d.target == math.inf for d in decisions)
+
     def test_never_measured_burst_rejects(self):
         decisions = assert_batch_matches_sequential(
             lambda link: link.feed.pause(), k=3, now=0.5
